@@ -211,7 +211,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     from repro.latency.energy import ENERGY_MODELS, estimate_energy_mj
     from repro.nn.resnet import build_model
 
-    graph = trace_model(build_model(_config_from_args(args)), input_hw=(100, 100))
+    graph = trace_model(build_model(_config_from_args(args), init=False), input_hw=(100, 100))
     rows = [{"device": d, "energy_mj": round(estimate_energy_mj(graph, d), 3)} for d in ENERGY_MODELS]
     print(render_table(rows, title="Estimated single-inference energy (synthetic model, see docs)"))
     return 0

@@ -95,7 +95,7 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
     config = ModelConfig(channels=5, batch=8, kernel_size=3, stride=2, padding=1,
                          pool_choice=0, kernel_size_pool=3, stride_pool=2,
                          initial_output_feature=32)
-    graph = trace_model(build_model(config), input_hw=(24, 24))
+    graph = trace_model(build_model(config, init=False), input_hw=(24, 24))
     winograd = {n.name: WINOGRAD_VARIANT for n in graph.nodes()
                 if n.op is OpType.CONV and winograd_eligible(n.attrs)}
     integer = {"conv-bn-relu": "conv.im2col.int8", "conv-bn": "conv.im2col.int8",

@@ -38,7 +38,12 @@ from repro.nas.storage import RunManifest, TrialStore
 from repro.nas.strategies import SearchStrategy
 from repro.nas.trial import TrialRecord, TrialStatus
 from repro.nn.resnet import build_model
-from repro.onnxlite.export import export_model
+from repro.onnxlite.export import build_model_proto, proto_nbytes
+# Not called here: measure_architecture sizes the proto of the graph it has
+# already traced.  The name stays bound because ``perfbench --trace 1``
+# wraps this module's measurement names, export_model included
+# (perfbench/sweeps.py::_instrument_measurement).
+from repro.onnxlite.export import export_model  # noqa: F401
 from repro.utils.logging import get_logger
 from repro.utils.rng import stable_hash
 
@@ -72,6 +77,12 @@ def measure_architecture(
 ) -> ArchitectureMetrics:
     """Latency (4 devices), memory, params and FLOPs for one architecture.
 
+    Every figure depends on shapes only, so the model is a weight-free
+    skeleton (``build_model(init=False)``), traced once, and the memory
+    objective is the container size computed by
+    :func:`~repro.onnxlite.export.proto_nbytes` — byte-exact with the
+    serialized file of an initialized model.
+
     Device predictors degrade gracefully: a predictor that raises is
     skipped (recorded in ``skipped_devices``, warning logged) and the
     latency mean/std aggregate over the survivors — matching
@@ -79,7 +90,7 @@ def measure_architecture(
     when nothing fails.  Only when *every* predictor fails does the
     measurement raise (:class:`~repro.nas.retry.PermanentTrialError`).
     """
-    model = build_model(config, seed=0)
+    model = build_model(config, seed=0, init=False)
     graph = trace_model(model, input_hw=input_hw)
     profiles = DEVICE_PROFILES if profiles is None else profiles
     kernels = extract_kernels(graph)
@@ -100,7 +111,7 @@ def measure_architecture(
         raise PermanentTrialError(
             "all device predictors failed for this architecture: " + "; ".join(errors)
         )
-    memory_mb = len(export_model(model, input_hw=input_hw)) / 1e6
+    memory_mb = proto_nbytes(build_model_proto(model, graph)) / 1e6
     values = list(per_device.values())
     return ArchitectureMetrics(
         per_device_ms=per_device,

@@ -25,6 +25,18 @@ __all__ = [
 ]
 
 
+def _skeleton(shape) -> np.ndarray:
+    """Read-only float32 zeros standing in for an uninitialized weight.
+
+    Large zero arrays come from calloc, so their pages are never touched:
+    a skeleton costs neither CPU nor resident memory, and any in-place
+    update (an optimizer step, ``load_state_dict``) raises.
+    """
+    data = np.zeros(shape, dtype=np.float32)
+    data.flags.writeable = False
+    return data
+
+
 class Conv2d(Module):
     """2-D convolution with square kernels and symmetric padding.
 
@@ -39,6 +51,9 @@ class Conv2d(Module):
         because a BatchNorm immediately follows.
     rng:
         Seed or generator for weight init (Kaiming-normal, fan-out).
+    init:
+        ``False`` builds a weight-free skeleton: read-only zero parameters
+        and no generator, enough for tracing, FLOPs and serialized size.
     """
 
     def __init__(
@@ -50,21 +65,25 @@ class Conv2d(Module):
         padding: int = 0,
         bias: bool = True,
         rng=None,
+        *,
+        init: bool = True,
     ) -> None:
         super().__init__()
         if in_channels < 1 or out_channels < 1:
             raise ValueError("channel counts must be positive")
         if kernel_size < 1:
             raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
-        generator = rng_from_seed(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(kaiming_normal(shape, generator))
-        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
+        self.weight = Parameter(kaiming_normal(shape, rng_from_seed(rng)) if init else _skeleton(shape))
+        if bias:
+            self.bias = Parameter(np.zeros(out_channels, dtype=np.float32) if init else _skeleton(out_channels))
+        else:
+            self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
         return conv_ops.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -77,24 +96,29 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    """Affine layer ``y = x W^T + b`` with weight shape ``(out, in)``."""
+    """Affine layer ``y = x W^T + b`` with weight shape ``(out, in)``.
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None) -> None:
+    ``init=False`` builds a weight-free skeleton, as for :class:`Conv2d`.
+    """
+
+    def __init__(
+        self, in_features: int, out_features: int, bias: bool = True, rng=None, *, init: bool = True
+    ) -> None:
         super().__init__()
         if in_features < 1 or out_features < 1:
             raise ValueError("feature counts must be positive")
-        generator = rng_from_seed(rng)
         self.in_features = in_features
         self.out_features = out_features
-        bound = 1.0 / np.sqrt(in_features)
-        self.weight = Parameter(
-            generator.uniform(-bound, bound, size=(out_features, in_features)).astype(np.float32)
-        )
-        self.bias = (
-            Parameter(generator.uniform(-bound, bound, size=out_features).astype(np.float32))
-            if bias
-            else None
-        )
+        if init:
+            generator = rng_from_seed(rng)
+            bound = 1.0 / np.sqrt(in_features)
+
+            def make(shape):
+                return generator.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            make = _skeleton
+        self.weight = Parameter(make((out_features, in_features)))
+        self.bias = Parameter(make(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)

@@ -44,22 +44,31 @@ class BasicBlock(Module):
     """The two-convolution residual block of ResNet-18.
 
     ``conv3x3 - BN - ReLU - conv3x3 - BN``, added to the (possibly
-    1x1-projected) input, then ReLU.
+    1x1-projected) input, then ReLU.  ``init`` is passed to every conv
+    (see :class:`~repro.nn.layers.Conv2d`).
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1, rng=None) -> None:
+    def __init__(
+        self, in_channels: int, out_channels: int, stride: int = 1, rng=None, *, init: bool = True
+    ) -> None:
         super().__init__()
+        # Integer seeds: a conv builds its generator only when it initializes.
         seeds = SeedSequenceFactory(0 if rng is None else int(rng))
         self.conv1 = Conv2d(
-            in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=seeds.rng("conv1")
+            in_channels, out_channels, 3, stride=stride, padding=1, bias=False,
+            rng=seeds.seed_for("conv1"), init=init,
         )
         self.bn1 = BatchNorm2d(out_channels)
         self.relu = ReLU()
-        self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False, rng=seeds.rng("conv2"))
+        self.conv2 = Conv2d(
+            out_channels, out_channels, 3, stride=1, padding=1, bias=False,
+            rng=seeds.seed_for("conv2"), init=init,
+        )
         self.bn2 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.downsample: Module = Sequential(
-                Conv2d(in_channels, out_channels, 1, stride=stride, bias=False, rng=seeds.rng("down")),
+                Conv2d(in_channels, out_channels, 1, stride=stride, bias=False,
+                       rng=seeds.seed_for("down"), init=init),
                 BatchNorm2d(out_channels),
             )
         else:
@@ -93,6 +102,11 @@ class SearchableResNet18(Module):
         2f, 4f, 8f and the FC head consumes 8f features.
     seed:
         Deterministic weight-init seed.
+    init:
+        ``False`` builds a weight-free skeleton (read-only zero weights,
+        no generators) for architecture measurement: tracing, FLOPs and
+        serialized size need shapes only.  Training and serving need
+        ``init=True``.
     """
 
     def __init__(
@@ -107,6 +121,8 @@ class SearchableResNet18(Module):
         stride_pool: int = 2,
         initial_output_feature: int = 64,
         seed: int = 0,
+        *,
+        init: bool = True,
     ) -> None:
         super().__init__()
         if in_channels < 1:
@@ -133,7 +149,8 @@ class SearchableResNet18(Module):
         }
 
         self.conv1 = Conv2d(
-            in_channels, f, kernel_size, stride=stride, padding=padding, bias=False, rng=seeds.rng("stem")
+            in_channels, f, kernel_size, stride=stride, padding=padding, bias=False,
+            rng=seeds.seed_for("stem"), init=init,
         )
         self.bn1 = BatchNorm2d(f)
         self.relu = ReLU()
@@ -154,13 +171,14 @@ class SearchableResNet18(Module):
                         width,
                         stride=block_stride,
                         rng=seeds.seed_for("stage", stage_idx, "block", block_idx),
+                        init=init,
                     )
                 )
                 in_width = width
             setattr(self, f"layer{stage_idx}", Sequential(*blocks))
 
         self.avgpool = GlobalAvgPool2d()
-        self.fc = Linear(widths[-1], num_classes, rng=seeds.rng("fc"))
+        self.fc = Linear(widths[-1], num_classes, rng=seeds.seed_for("fc"), init=init)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -210,12 +228,15 @@ _CONFIG_KEYS = (
 )
 
 
-def build_model(config: Mapping[str, Any] | Any, num_classes: int = 2, seed: int = 0) -> SearchableResNet18:
+def build_model(
+    config: Mapping[str, Any] | Any, num_classes: int = 2, seed: int = 0, *, init: bool = True
+) -> SearchableResNet18:
     """Build a :class:`SearchableResNet18` from a search-space configuration.
 
     ``config`` may be a mapping or any object exposing the Figure-2 field
     names as attributes (e.g. :class:`repro.nas.config.ModelConfig`); it
-    must also carry ``channels`` (the input channel count).
+    must also carry ``channels`` (the input channel count).  Pass
+    ``init=False`` when the model is only traced or sized, never run.
     """
 
     def get(key: str):
@@ -228,5 +249,6 @@ def build_model(config: Mapping[str, Any] | Any, num_classes: int = 2, seed: int
         in_channels=int(get("channels")),
         num_classes=num_classes,
         seed=seed,
+        init=init,
         **kwargs,
     )

@@ -22,7 +22,7 @@ from repro.nn.module import Module
 from repro.nn.resnet import SearchableResNet18
 from repro.onnxlite.schema import FORMAT_MAGIC, FORMAT_VERSION, ModelProto, OperatorProto, TensorProto
 
-__all__ = ["build_model_proto", "export_graph", "export_model", "proto_to_bytes"]
+__all__ = ["build_model_proto", "export_graph", "export_model", "proto_nbytes", "proto_to_bytes"]
 
 # IR op -> onnxlite operator type string (deliberately ONNX-flavoured names).
 _OP_NAMES = {
@@ -66,15 +66,20 @@ def build_model_proto(model: Module, graph: Graph, name: str = "model") -> Model
     return proto
 
 
-def proto_to_bytes(proto: ModelProto) -> bytes:
-    """Serialize a :class:`ModelProto` to the binary container."""
+def _header_bytes(proto: ModelProto) -> bytes:
+    """The JSON header: topology plus one (offset, nbytes, shape) entry per tensor.
+
+    Depends on tensor shapes, dtypes and quantization parameters only, never
+    on payload values; :func:`proto_to_bytes` and :func:`proto_nbytes` both
+    use it, so a computed size cannot drift from the real container.
+    """
     entries = []
-    payload = bytearray()
+    offset = 0
     for tensor in proto.initializers:
         entry = {
             "name": tensor.name,
             "shape": list(tensor.data.shape),
-            "offset": len(payload),
+            "offset": offset,
             "nbytes": tensor.nbytes,
         }
         if tensor.quantized or tensor.dtype != "float32":
@@ -83,7 +88,7 @@ def proto_to_bytes(proto: ModelProto) -> bytes:
             entry["scale"] = tensor.scale.tolist() if tensor.per_channel else tensor.scale
             entry["zero_point"] = tensor.zero_point
         entries.append(entry)
-        payload.extend(tensor.data.tobytes())
+        offset += tensor.nbytes
     header = {
         "name": proto.name,
         "input_shape": list(proto.input_shape),
@@ -101,13 +106,23 @@ def proto_to_bytes(proto: ModelProto) -> bytes:
         ],
         "initializers": entries,
     }
-    header_bytes = json.dumps(header).encode("utf-8")
-    return (
-        FORMAT_MAGIC
-        + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-        + header_bytes
-        + bytes(payload)
-    )
+    return json.dumps(header).encode("utf-8")
+
+
+def _preamble(header: bytes) -> bytes:
+    return FORMAT_MAGIC + struct.pack("<II", FORMAT_VERSION, len(header))
+
+
+def proto_to_bytes(proto: ModelProto) -> bytes:
+    """Serialize a :class:`ModelProto` to the binary container."""
+    header = _header_bytes(proto)
+    return b"".join([_preamble(header), header, *(t.data.tobytes() for t in proto.initializers)])
+
+
+def proto_nbytes(proto: ModelProto) -> int:
+    """``len(proto_to_bytes(proto))`` without reading or copying the payload."""
+    header = _header_bytes(proto)
+    return len(_preamble(header)) + len(header) + sum(t.nbytes for t in proto.initializers)
 
 
 def export_graph(model: Module, graph: Graph, path: str | Path | None = None, name: str = "model") -> bytes:

@@ -6,8 +6,9 @@ the exported model file divided by 1e6.
 
 from __future__ import annotations
 
+from repro.graph.trace import trace_model
 from repro.nn.resnet import SearchableResNet18
-from repro.onnxlite.export import export_model
+from repro.onnxlite.export import build_model_proto, proto_nbytes
 
 __all__ = ["model_size_bytes", "model_size_mb"]
 
@@ -15,8 +16,12 @@ BYTES_PER_MB = 1_000_000.0
 
 
 def model_size_bytes(model: SearchableResNet18, input_hw: tuple[int, int] = (100, 100)) -> int:
-    """Exact size in bytes of the model's onnxlite serialization."""
-    return len(export_model(model, input_hw=input_hw))
+    """Exact size in bytes of the model's onnxlite serialization.
+
+    Computed from shapes, without copying the weight payload, so it works
+    on a weight-free ``build_model(..., init=False)`` skeleton too.
+    """
+    return proto_nbytes(build_model_proto(model, trace_model(model, input_hw=input_hw)))
 
 
 def model_size_mb(model: SearchableResNet18, input_hw: tuple[int, int] = (100, 100)) -> float:

@@ -40,7 +40,7 @@ class TestQuantizedExport:
         fp32 = len(export_model(model, input_hw=(64, 64)))
         int8 = len(export_quantized_model(model, input_hw=(64, 64)))
         assert 3.5 < fp32 / int8 < 4.3
-        assert quantized_model_size_mb(model, (64, 64)) == pytest.approx(int8 / 1e6)
+        assert quantized_model_size_mb(model, (64, 64)) == int8 / 1e6
 
     def test_container_roundtrip_preserves_quantization(self):
         blob = export_quantized_model(_model(), input_hw=(64, 64))

@@ -11,9 +11,10 @@ stand-in, with two execution paths:
   (see ``tests/test_deploy.py``).
 - :class:`~repro.deploy.plan.InferencePlan` — the compiled fast path
   (``runtime.compile()``): Conv+BN+ReLU / Add+ReLU fusion per the rule
-  table shared with :mod:`repro.latency.fusion`, pre-bound kernel
-  closures, and static arena memory planning (see
-  ``tests/test_deploy_plan.py`` and DEVELOPMENT.md).
+  table shared with :mod:`repro.latency.fusion`, static arena memory
+  planning, and one execution frame per batch size that binds every
+  kernel to its buffers once (see ``tests/test_deploy_plan.py`` and
+  DEVELOPMENT.md).
 
 Plans are single-threaded by design (one arena each); concurrent
 serving replicates them (:meth:`InferencePlan.replicate` — weights

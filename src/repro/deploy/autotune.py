@@ -6,9 +6,10 @@ transform overhead on tiny channel counts; the int8 path trades GEMM
 throughput against quantize/requantize epilogues.  Rather than hardcode
 crossover heuristics, :func:`autotune_variants` *measures*: for every
 layer with more than one eligible kernel variant it binds each candidate
-closure against a throwaway arena, feeds synthetic inputs of the exact
-shape and carrier form the compiled plan would supply, times a few
-rounds, and keeps the fastest.
+kernel's execution frame against a throwaway arena — the same binding
+the compiled plan runs — over synthetic inputs of the exact shape and
+carrier form the plan would supply, times a few rounds of the bound
+kernel, and keeps the fastest.
 
 Decisions are cached as JSON keyed by ``fingerprint:batch``
 (:meth:`~repro.onnxlite.schema.ModelProto.fingerprint` covers weights,
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.deploy.frames import Kernel
 from repro.deploy.passes import (
     PlanNode,
     build_plan_nodes,
@@ -96,7 +98,7 @@ def _candidates(node: PlanNode) -> list[str]:
     return []
 
 
-def _bind_candidate(node: PlanNode, variant: str, shapes, arena: Arena, in_form: str):
+def _bind_candidate(node: PlanNode, variant: str, shapes, arena: Arena, in_form: str) -> Kernel:
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.output]
     if variant == "conv.im2col.int8":
@@ -118,16 +120,15 @@ def _synthetic_input(shape: tuple[int, ...], form: str, rng: np.random.Generator
     return rng.standard_normal(shape, dtype=np.float32)
 
 
-def _bench(run, env: dict, arena: Arena, rounds: int) -> float:
-    """Best-of-``rounds`` wall time of one bound kernel, in seconds."""
-    out = run(env)  # warmup (also primes the arena pools)
-    arena.release(out)
+def _bench(kernel: Kernel, x: np.ndarray, rounds: int) -> float:
+    """Best-of-``rounds`` wall time of one kernel's frame, in seconds."""
+    bound, _ = kernel.frame(x)
+    kernel.run(bound)  # warmup
     best = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        out = run(env)
+        kernel.run(bound)
         best = min(best, time.perf_counter() - t0)
-        arena.release(out)
     return best
 
 
@@ -207,10 +208,9 @@ def autotune_variants(
             # on f32 inputs (forcing them f32 also re-forms the chain).
             feeds_u8 = in_form == "u8" and variant.endswith((".int8", ".u8"))
             form = "u8" if feeds_u8 else "f32"
-            arena = Arena()
             x = _synthetic_input((int(batch), *shapes[in_name]), form, rng)
-            run = _bind_candidate(node, variant, shapes, arena, form)
-            timings[variant] = _bench(run, {in_name: x}, arena, rounds)
+            kernel = _bind_candidate(node, variant, shapes, Arena(), form)
+            timings[variant] = _bench(kernel, x, rounds)
         chosen = min(timings, key=timings.get)
         variants[node.name] = chosen
         table[node.name] = {

@@ -72,6 +72,10 @@ class PlanNode:
     #: keys "input" / "output" hold the activation quantizers when this
     #: node runs an integer kernel (absent otherwise).
     qconfig: dict = field(default_factory=dict)
+    #: Bind-time constants derived from ``weights`` (views and per-channel
+    #: vectors), shared by every plan replica; see
+    #: :func:`repro.deploy.frames.node_const`.
+    consts: dict = field(default_factory=dict)
 
     @property
     def chain(self) -> tuple[str, ...]:

@@ -2,18 +2,21 @@
 
 :func:`compile_plan` lowers a :class:`~repro.onnxlite.schema.ModelProto`
 through the pass pipeline of :mod:`repro.deploy.passes` and binds every
-fused operator to a concrete NumPy closure at compile time:
+fused operator to a concrete NumPy kernel at compile time:
 
-- **no per-call dispatch** — each step is a closure with its weights,
+- **no per-call dispatch** — each step is a kernel with its weights,
   geometry, and GEMM matrices captured as locals (BatchNorm already
   folded into the Conv weights, ReLU applied in-kernel);
 - **static memory planning** — a liveness-derived release schedule
   recycles intermediate buffers through an :class:`Arena` the moment
-  their last consumer has run, instead of accumulating every activation
-  for the whole forward pass;
-- **workspace reuse** — the im2col column matrix and padded-input
-  scratch come from the same arena, so Conv ops sharing a shape share
-  one allocation across the run *and* across runs.
+  their last consumer has run, instead of keeping every activation for
+  the whole forward pass;
+- **execution frames** — the first run at a batch size walks that
+  schedule once, draws every activation and workspace (padded inputs,
+  im2col columns, Winograd tiles, int8 accumulators) from the arena,
+  and binds each kernel to those arrays and their precomputed views.
+  Later runs at that batch size copy the input in and replay the bound
+  NumPy calls: no allocation, no buffer bookkeeping, no view building.
 
 The interpreted :class:`~repro.deploy.runtime.OnnxliteRuntime` path is
 kept unchanged as the independent reference implementation; equivalence
@@ -31,10 +34,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 import repro.obs as obs
 
+from repro.deploy.frames import Kernel, fill_pad, node_const, pad_frame, windows
 from repro.deploy.passes import (
     PlanNode,
     build_plan_nodes,
@@ -55,7 +58,6 @@ from repro.deploy.weights import LazyWeightTable
 from repro.deploy.winograd import WINOGRAD_VARIANT, bind_winograd_conv, winograd_eligible
 from repro.latency.fusion import KERNEL_VARIANTS
 from repro.onnxlite.schema import ModelProto
-from repro.tensor.conv_ops import im2col
 
 __all__ = [
     "Arena",
@@ -100,20 +102,27 @@ class Arena:
     Buffers are flat byte arrays handed out as shaped, dtype-cast views
     (float32 by default; the integer kernel path draws uint8 activations
     and int32 accumulators from the same pool); released buffers return
-    to a free pool and are reused by the smallest-fit candidate, so a
-    full forward pass settles into a handful of allocations that persist
-    across runs.  The free pool is kept sorted by capacity, so the
-    smallest-fit lookup is a bisect + pop instead of a linear scan —
-    O(log f) per acquire where the old scan was O(f), which matters once
-    batch-bucketed serving multiplies the pooled buffer population.
+    to a free pool and are reused by the smallest-fit candidate.  The
+    free pool is kept sorted by capacity, so the smallest-fit lookup is
+    a bisect + pop.
+
+    A plan draws from its arena only while it builds an execution frame
+    (see :class:`InferencePlan`): the build replays the release schedule
+    once, so tensors whose lifetimes do not overlap share a buffer, and
+    every buffer goes back to the pool when the build ends.  Frames of
+    other batch sizes then reuse the same buffers — no frame keeps data
+    from one run to the next — and runs themselves never touch the
+    arena, so steady-state inference allocates nothing.
 
     Parameters
     ----------
     poison:
         Debug mode — released buffers are filled with 0xFF bytes (NaN
-        when read as float32) so any kernel reading a freed tensor
-        corrupts the output and fails the equivalence tests instead of
-        silently reading stale data.
+        when read as float32).  Frames replay the fill at run time:
+        after each step, the buffers released at that step are filled,
+        so a kernel reading a freed tensor corrupts the output and
+        fails the equivalence tests instead of silently reading stale
+        data.
     """
 
     def __init__(self, poison: bool = False) -> None:
@@ -130,6 +139,8 @@ class Arena:
         self.peak_bytes = 0
         self.allocations = 0
         self.reuses = 0
+        #: Bases released since the last :meth:`take_freed` (poison mode).
+        self._freed: list[np.ndarray] = []
 
     def acquire(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """A ``dtype`` buffer of ``shape`` (pooled when possible)."""
@@ -157,10 +168,22 @@ class Arena:
             raise KeyError("released a buffer the arena does not own (planner bug)")
         if self.poison:
             base.fill(0xFF)  # NaN as float32, -1 as int32, 255 as uint8
+            self._freed.append(base)
         self.current_bytes -= base.nbytes
         i = bisect.bisect_left(self._free_sizes, base.size)
         self._free.insert(i, base)
         self._free_sizes.insert(i, base.size)
+
+    def take_freed(self) -> list[np.ndarray]:
+        """Bases released since the last call that are still pooled.
+
+        Poison mode only (empty otherwise): a frame build calls this
+        after each step to learn which buffers die there.
+        """
+        pooled = {id(b) for b in self._free}
+        dead = list({id(b): b for b in self._freed if id(b) in pooled}.values())
+        self._freed.clear()
+        return dead
 
     @property
     def live_count(self) -> int:
@@ -180,11 +203,17 @@ class Arena:
 
 @dataclass
 class PlanStep:
-    """One executable step: a pre-bound kernel plus its release schedule."""
+    """One executable step: a bound kernel plus its release schedule.
+
+    ``frame`` binds the kernel to one batch size's arrays and ``run``
+    executes such a binding (see :class:`~repro.deploy.frames.Kernel`);
+    the plan calls ``run`` once per step per :meth:`InferencePlan.run`.
+    """
 
     name: str
     chain: tuple[str, ...]
-    run: Callable[[dict[str, np.ndarray]], np.ndarray]
+    run: Callable[[tuple], None]
+    frame: Callable[..., tuple]
     inputs: tuple[str, ...]
     output: str
     #: The kernel variant bound to this step — always a name from
@@ -193,17 +222,23 @@ class PlanStep:
     variant: str = ""
     #: Tensors whose buffers return to the arena after this step.
     release: list[str] = field(default_factory=list)
-    #: Tensors dropped from the environment without an arena release
-    #: (their buffer was transferred to this step's in-place output).
+    #: Tensors never released on their own: their buffer was handed to
+    #: this step's in-place output, which is released in their place.
     drop: list[str] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
 # kernel binding
 # --------------------------------------------------------------------------
+#
+# Every binder returns a :class:`Kernel`.  Its ``frame`` draws buffers from
+# the arena in the order the kernel uses them — a workspace is released as
+# soon as the computation is done with it, so a later acquire in the same
+# frame may alias it — and ``run`` replays the NumPy calls in that same
+# order on the bound views.
 
 
-def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
+def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena) -> Kernel:
     """Bind a (fused) Conv node with batch-adaptive GEMM strategies.
 
     - ``N == 1`` — the original single-stream path: one channel-major
@@ -225,83 +260,69 @@ def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
     kernel = int(node.attrs["kernel"])
     stride = int(node.attrs["stride"])
     padding = int(node.attrs["padding"])
-    w_mat = np.ascontiguousarray(node.fp32_weight().reshape(c_out, -1))
+    w_mat = node_const(node, "conv.w_mat", lambda: np.ascontiguousarray(
+        node.fp32_weight().reshape(c_out, -1)))
     bias = node.weights.get("bias")
-    bias_col = None if bias is None else np.ascontiguousarray(bias.reshape(c_out, 1, 1))
+    bias_col = None if bias is None else node_const(
+        node, "conv.bias", lambda: np.ascontiguousarray(bias.reshape(c_out, 1, 1)))
     relu = node.relu
-    in_name = node.inputs[0]
     cols_rows = c_in * kernel * kernel
     spatial = oh * ow
     merged = spatial <= BATCH_MERGED_MAX_POSITIONS
 
-    def pad_input(x: np.ndarray, n: int) -> np.ndarray:
-        """Border-only zero fill + interior copy into an arena buffer."""
-        xp = arena.acquire((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, :padding, :] = 0.0
-        xp[:, :, padding + h :, :] = 0.0
-        xp[:, :, padding : padding + h, :padding] = 0.0
-        xp[:, :, padding : padding + h, padding + w :] = 0.0
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        return xp
-
-    def finish(out: np.ndarray) -> np.ndarray:
-        if bias_col is not None:
-            out += bias_col
-        if relu:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def run_channel_major(x: np.ndarray, n: int) -> np.ndarray:
-        xp = pad_input(x, n) if padding else x
+    def frame(x: np.ndarray):
+        n = x.shape[0]
+        xp, pad = x, None
+        if padding:
+            xp, pad = pad_frame(arena, x, padding, h + 2 * padding, w + 2 * padding)
+        win = windows(xp, kernel, stride)
+        if n > 1 and merged:
+            # Merged layout: column j of the GEMM is (sample j // P,
+            # position j % P) — batch folded into the GEMM's N dimension.
+            cols = arena.acquire((cols_rows, n * spatial))
+            gather = (cols.reshape(c_in, kernel, kernel, n, oh, ow),
+                      win.transpose(1, 4, 5, 0, 2, 3))
+            if padding:
+                arena.release(xp)
+            om = arena.acquire((c_out, n, spatial))
+            gemms = ((cols, om.reshape(c_out, n * spatial)),)
+            arena.release(cols)
+            out = arena.acquire((n, c_out, oh, ow))
+            # bias (C_out, 1, 1) broadcasts over om's (C_out, N, P).
+            scatter = (out.reshape(n, c_out, spatial), om.transpose(1, 0, 2))
+            arena.release(om)
+            return (pad, gather, gemms, om, scatter), out
         cols = arena.acquire((n, cols_rows, spatial))
-        im2col(xp, kernel, stride, out=cols)
+        gather = (cols.reshape(n, c_in, kernel, kernel, oh, ow), win.transpose(0, 1, 4, 5, 2, 3))
         if padding:
             arena.release(xp)
         out = arena.acquire((n, c_out, oh, ow))
         out_mat = out.reshape(n, c_out, spatial)
-        if n == 1:
-            np.matmul(w_mat, cols, out=out_mat)
-        else:
-            # Per-sample products: identical GEMM shape to the N == 1
-            # path (bitwise-equal per image) and the per-sample column
-            # matrix stays hot in cache across the loop.
-            for i in range(n):
-                np.matmul(w_mat, cols[i], out=out_mat[i])
+        # Per-sample products for N > 1: identical GEMM shape to the
+        # N == 1 path (bitwise-equal per image) and the per-sample column
+        # matrix stays hot in cache across the loop.
+        gemms = ((cols, out_mat),) if n == 1 else tuple(zip(cols, out_mat))
         arena.release(cols)
-        return finish(out)
+        return (pad, gather, gemms, out, None), out
 
-    def run_batch_merged(x: np.ndarray, n: int) -> np.ndarray:
-        xp = pad_input(x, n) if padding else x
-        windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = arena.acquire((cols_rows, n * spatial))
-        # Merged layout: column j of the GEMM is (sample j // P, position
-        # j % P) — batch folded into the GEMM's N dimension.
-        np.copyto(
-            cols.reshape(c_in, kernel, kernel, n, oh, ow),
-            windows.transpose(1, 4, 5, 0, 2, 3),
-        )
-        if padding:
-            arena.release(xp)
-        om = arena.acquire((c_out, n, spatial))
-        np.matmul(w_mat, cols.reshape(cols_rows, n * spatial), out=om.reshape(c_out, n * spatial))
-        arena.release(cols)
-        finish(om)  # bias (C_out, 1, 1) broadcasts over (C_out, N, P)
-        out = arena.acquire((n, c_out, oh, ow))
-        np.copyto(out.reshape(n, c_out, spatial), om.transpose(1, 0, 2))
-        arena.release(om)
-        return out
+    def run(bound: tuple) -> None:
+        pad, gather, gemms, acc, scatter = bound
+        if pad is not None:
+            fill_pad(pad, 0.0)
+        np.copyto(*gather)
+        for cols, dst in gemms:
+            np.matmul(w_mat, cols, out=dst)
+        if bias_col is not None:
+            acc += bias_col
+        if relu:
+            np.maximum(acc, 0.0, out=acc)
+        if scatter is not None:
+            np.copyto(*scatter)
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        n = x.shape[0]
-        if n > 1 and merged:
-            return run_batch_merged(x, n)
-        return run_channel_major(x, n)
-
-    return run
+    return Kernel(run, frame)
 
 
-def _bind_gemm(node: PlanNode, out_shape, arena: Arena):
+def _bind_gemm(node: PlanNode, out_shape, arena: Arena) -> Kernel:
     # (in, out) layout; cached on the node so plan replicas share one
     # transposed copy instead of materializing it per bind.
     weight_t = node.weights.get("weight_t")
@@ -310,111 +331,134 @@ def _bind_gemm(node: PlanNode, out_shape, arena: Arena):
         node.weights["weight_t"] = weight_t
     bias = node.weights.get("bias")
     relu = node.relu
-    in_name = node.inputs[0]
-    out_features = out_shape[0]
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = arena.acquire((x.shape[0], out_features))
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.matmul(x, weight_t, out=out)
         if bias is not None:
             out += bias
         if relu:
             np.maximum(out, 0.0, out=out)
-        return out
 
-    return run
+    return Kernel(run, _fresh_output_frame(arena, out_shape))
 
 
-def _bind_batch_norm(node: PlanNode, arena: Arena, inplace: bool):
-    scale = node.weights["scale"].reshape(-1, 1, 1)
-    shift = node.weights["shift"].reshape(-1, 1, 1)
+def _fresh_output_frame(arena: Arena, out_shape, dtype=np.float32):
+    """Frame binder of a one-input kernel writing a new ``(N, *out_shape)`` buffer."""
+
+    def frame(x: np.ndarray):
+        out = arena.acquire((x.shape[0], *out_shape), dtype)
+        return (x, out), out
+
+    return frame
+
+
+def _inplace_frame(arena: Arena, inplace: bool, dtype=np.float32):
+    """Frame binder of an elementwise kernel that may overwrite its input."""
+
+    def frame(x: np.ndarray):
+        out = x if inplace else arena.acquire(x.shape, dtype)
+        return (x, out), out
+
+    return frame
+
+
+def _bind_batch_norm(node: PlanNode, arena: Arena, inplace: bool) -> Kernel:
+    scale = node_const(node, "bn.scale", lambda: node.weights["scale"].reshape(-1, 1, 1))
+    shift = node_const(node, "bn.shift", lambda: node.weights["shift"].reshape(-1, 1, 1))
     relu = node.relu
-    in_name = node.inputs[0]
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = x if inplace else arena.acquire(x.shape)
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.multiply(x, scale, out=out)
         out += shift
         if relu:
             np.maximum(out, 0.0, out=out)
-        return out
 
-    return run
+    return Kernel(run, _inplace_frame(arena, inplace))
 
 
-def _bind_relu(node: PlanNode, arena: Arena, inplace: bool):
-    in_name = node.inputs[0]
-
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = x if inplace else arena.acquire(x.shape)
+def _bind_relu(node: PlanNode, arena: Arena, inplace: bool) -> Kernel:
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.maximum(x, 0.0, out=out)
-        return out
 
-    return run
+    return Kernel(run, _inplace_frame(arena, inplace))
 
 
-def _bind_add(node: PlanNode, arena: Arena, inplace_name: str | None):
-    a_name, b_name = node.inputs
+def _add_frame(node: PlanNode, arena: Arena, inplace_name: str | None, dtype=np.float32):
+    """Frame binder of a residual Add, optionally writing over one operand."""
+    inplace = None if inplace_name is None else node.inputs.index(inplace_name)
+
+    def frame(a: np.ndarray, b: np.ndarray):
+        out = (a, b)[inplace] if inplace is not None else arena.acquire(a.shape, dtype)
+        return (a, b, out), out
+
+    return frame
+
+
+def _bind_add(node: PlanNode, arena: Arena, inplace_name: str | None) -> Kernel:
     relu = node.relu
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        a, b = env[a_name], env[b_name]
-        out = env[inplace_name] if inplace_name is not None else arena.acquire(a.shape)
+    def run(bound: tuple) -> None:
+        a, b, out = bound
         np.add(a, b, out=out)
         if relu:
             np.maximum(out, 0.0, out=out)
-        return out
 
-    return run
+    return Kernel(run, _add_frame(node, arena, inplace_name))
 
 
-def _bind_max_pool(node: PlanNode, out_shape, arena: Arena):
+def _pool_frame(node: PlanNode, out_shape, arena: Arena, dtype=np.float32):
+    """Frame binder of a windowed pool: the window view plus a new output."""
     kernel = int(node.attrs["kernel"])
     stride = int(node.attrs["stride"])
+
+    def frame(x: np.ndarray):
+        out = arena.acquire((x.shape[0], *out_shape), dtype)
+        return (windows(x, kernel, stride), out), out
+
+    return frame
+
+
+def _bind_max_pool(node: PlanNode, out_shape, arena: Arena) -> Kernel:
     average = bool(node.attrs.get("average"))
-    c, oh, ow = out_shape
-    in_name = node.inputs[0]
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        out = arena.acquire((x.shape[0], c, oh, ow))
+    def run(bound: tuple) -> None:
+        win, out = bound
         if average:
-            np.mean(windows, axis=(-2, -1), dtype=np.float32, out=out)
+            np.mean(win, axis=(-2, -1), dtype=np.float32, out=out)
         else:
-            np.max(windows, axis=(-2, -1), out=out)
-        return out
+            np.max(win, axis=(-2, -1), out=out)
 
-    return run
+    return Kernel(run, _pool_frame(node, out_shape, arena))
 
 
-def _bind_global_avg_pool(node: PlanNode, out_shape, arena: Arena):
-    in_name = node.inputs[0]
-    channels = out_shape[0]
-
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = arena.acquire((x.shape[0], channels))
+def _bind_global_avg_pool(node: PlanNode, out_shape, arena: Arena) -> Kernel:
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.mean(x, axis=(2, 3), dtype=np.float32, out=out)
-        return out
 
-    return run
+    return Kernel(run, _fresh_output_frame(arena, out_shape))
 
 
-def _bind_flatten(node: PlanNode, out_shape, arena: Arena):
-    in_name = node.inputs[0]
+def _flatten_frame(out_shape, arena: Arena, dtype=np.float32):
+    """Frame binder of a Flatten: a flat view of the input plus a new output."""
     flat = out_shape[0]
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = arena.acquire((x.shape[0], flat))
-        np.copyto(out, x.reshape(x.shape[0], flat))
-        return out
+    def frame(x: np.ndarray):
+        n = x.shape[0]
+        out = arena.acquire((n, flat), dtype)
+        return (x.reshape((n, flat), copy=False), out), out
 
-    return run
+    return frame
+
+
+def _bind_flatten(node: PlanNode, out_shape, arena: Arena) -> Kernel:
+    def run(bound: tuple) -> None:
+        np.copyto(bound[1], bound[0])
+
+    return Kernel(run, _flatten_frame(out_shape, arena))
 
 
 # --------------------------------------------------------------------------
@@ -445,7 +489,7 @@ def _quantized_codes_matrix(node: PlanNode) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Arena):
-    """Epilogue closure for integer Conv/Gemm accumulators.
+    """Epilogue of integer Conv/Gemm accumulators, as a frame/run pair.
 
     Maps the exact ``(C, M)`` float64 accumulator (zero-point already
     folded, bias not yet) to the kernel's output matrix ``om``:
@@ -456,51 +500,56 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
     - float32 epilogue (``output`` is None): per-channel dequant scale
       ``s_in * s_w[c]`` plus the fp32 bias and ReLU.
 
-    The closure takes ownership of (and releases) ``acc``.  Returns
-    ``(finish, out_dtype)``.
+    Returns ``(frame, run, out_dtype)``; ``frame(acc)`` takes ownership
+    of (and releases) ``acc`` and returns ``(bound, om)``.
     """
     q_out = node.qconfig["output"]
     bias = node.weights.get("bias")
     relu = node.relu
     if q_out is not None:
-        m0, shift = quantize_multipliers(s_in * s_w / q_out.scale)
+        m0, shift = node_const(
+            node, "int.multipliers", lambda: quantize_multipliers(s_in * s_w / q_out.scale))
         zp_out = int(q_out.zero_point)
-        bias_q = None
-        if bias is not None:
-            bias_q = np.round(bias.astype(np.float64) / (s_in * s_w))[:, None]
+        bias_q = None if bias is None else node_const(
+            node, "int.bias_q", lambda: np.round(bias.astype(np.float64) / (s_in * s_w))[:, None])
 
-        def finish(acc: np.ndarray) -> np.ndarray:
-            if bias_q is not None:
-                acc += bias_q
+        def frame(acc: np.ndarray):
             acc_i64 = arena.acquire(acc.shape, np.int64)
-            np.copyto(acc_i64, acc, casting="unsafe")
             arena.release(acc)
             om = arena.acquire(acc_i64.shape, np.uint8)
-            requantize(acc_i64, m0, shift, zp_out, relu=relu, out=om, axis=0)
             arena.release(acc_i64)
-            return om
+            return (acc, acc_i64, om), om
 
-        return finish, np.uint8
+        def run(bound: tuple) -> None:
+            acc, acc_i64, om = bound
+            if bias_q is not None:
+                acc += bias_q
+            np.copyto(acc_i64, acc, casting="unsafe")
+            requantize(acc_i64, m0, shift, zp_out, relu=relu, out=om, axis=0)
 
-    scale_col = (s_in * s_w)[:, None]  # float64 (C, 1)
-    bias_col = None if bias is None else np.ascontiguousarray(
-        bias.astype(np.float32)[:, None]
-    )
+        return frame, run, np.uint8
 
-    def finish(acc: np.ndarray) -> np.ndarray:
+    scale_col = node_const(node, "int.scale_col", lambda: (s_in * s_w)[:, None])  # f64 (C, 1)
+    bias_col = None if bias is None else node_const(
+        node, "int.bias", lambda: np.ascontiguousarray(bias.astype(np.float32)[:, None]))
+
+    def frame(acc: np.ndarray):
         om = arena.acquire(acc.shape)
-        np.multiply(acc, scale_col, out=om)
         arena.release(acc)
+        return (acc, om), om
+
+    def run(bound: tuple) -> None:
+        acc, om = bound
+        np.multiply(acc, scale_col, out=om)
         if bias_col is not None:
             om += bias_col
         if relu:
             np.maximum(om, 0.0, out=om)
-        return om
 
-    return finish, np.float32
+    return frame, run, np.float32
 
 
-def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str):
+def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str) -> Kernel:
     """Bind a (fused) Conv to the true-int8 QLinearConv-style kernel.
 
     The activation side runs in the quantized domain end to end: uint8
@@ -520,102 +569,108 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
     w_mat, s_w, row_sums = _quantized_codes_matrix(node)
-    finish, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
-    zp_term = (zp_in * row_sums)[:, None]  # float64 (C_out, 1), exact
-    in_name = node.inputs[0]
+    epilogue_frame, epilogue, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
+    zp_term = node_const(node, "int.zp_term", lambda: (zp_in * row_sums)[:, None])  # f64, exact
     cols_rows = c_in * kernel * kernel
     spatial = oh * ow
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
+    def frame(x: np.ndarray):
         n = x.shape[0]
-        if in_form == "u8":
-            codes = x
-        else:
+        codes, quant = x, None
+        if in_form != "u8":
             codes = arena.acquire((n, c_in, h, w), np.uint8)
             scratch = arena.acquire((n, c_in, h, w))
-            quantize_into(x, s_in, zp_in, codes, scratch)
+            quant = (x, codes, scratch)
             arena.release(scratch)
+        xp, pad = codes, None
         if padding:
-            xp = arena.acquire((n, c_in, h + 2 * padding, w + 2 * padding), np.uint8)
-            # Border-only fill at the input zero point (the integer
+            # Border fill at the input zero point (the integer
             # representation of 0.0), interior copied from the codes.
-            xp[:, :, :padding, :] = zp_in
-            xp[:, :, padding + h :, :] = zp_in
-            xp[:, :, padding : padding + h, :padding] = zp_in
-            xp[:, :, padding : padding + h, padding + w :] = zp_in
-            xp[:, :, padding : padding + h, padding : padding + w] = codes
+            xp, pad = pad_frame(arena, codes, padding, h + 2 * padding, w + 2 * padding,
+                                np.uint8)
             if in_form != "u8":
                 arena.release(codes)
-        else:
-            xp = codes
         # Merged im2col straight into integer-valued float32 (the cast
         # fuses into the gather copy; K-panels then slice with no copy).
         cols = arena.acquire((cols_rows, n * spatial))
-        windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.copyto(
-            cols.reshape(c_in, kernel, kernel, n, oh, ow),
-            windows.transpose(1, 4, 5, 0, 2, 3),
-        )
+        gather = (cols.reshape(c_in, kernel, kernel, n, oh, ow),
+                  windows(xp, kernel, stride).transpose(1, 4, 5, 0, 2, 3))
         if padding or in_form != "u8":
             arena.release(xp)
-        m = n * spatial
-        acc = arena.acquire((c_out, m), np.float64)
-        part = arena.acquire((c_out, m))
-        chunked_int_gemm(w_mat, cols, acc, part)
+        acc = arena.acquire((c_out, n * spatial), np.float64)
+        part = arena.acquire((c_out, n * spatial))
         arena.release(cols)
         arena.release(part)
-        acc -= zp_term
-        om = finish(acc)
+        epi, om = epilogue_frame(acc)
         out = arena.acquire((n, c_out, oh, ow), out_dtype)
-        np.copyto(out.reshape(n, c_out, spatial), om.reshape(c_out, n, spatial).transpose(1, 0, 2))
+        scatter = (out.reshape(n, c_out, spatial),
+                   om.reshape(c_out, n, spatial).transpose(1, 0, 2))
         arena.release(om)
-        return out
+        return (quant, pad, gather, cols, acc, part, epi, scatter), out
 
-    return run
+    def run(bound: tuple) -> None:
+        quant, pad, gather, cols, acc, part, epi, scatter = bound
+        if quant is not None:
+            x, codes, scratch = quant
+            quantize_into(x, s_in, zp_in, codes, scratch)
+        if pad is not None:
+            fill_pad(pad, zp_in)
+        np.copyto(*gather)
+        chunked_int_gemm(w_mat, cols, acc, part)
+        acc -= zp_term
+        epilogue(epi)
+        np.copyto(*scatter)
+
+    return Kernel(run, frame)
 
 
-def _bind_qgemm(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str):
+def _bind_qgemm(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str) -> Kernel:
     """Bind a Gemm to the int8 kernel (same recipe as :func:`_bind_qconv`)."""
     k_in = in_shape[0]
     out_features = out_shape[0]
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
     w_mat, s_w, row_sums = _quantized_codes_matrix(node)
-    finish, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
-    zp_term = (zp_in * row_sums)[:, None]
-    in_name = node.inputs[0]
+    epilogue_frame, epilogue, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
+    zp_term = node_const(node, "int.zp_term", lambda: (zp_in * row_sums)[:, None])
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
+    def frame(x: np.ndarray):
         n = x.shape[0]
         cols = arena.acquire((k_in, n))
         if in_form == "u8":
-            np.copyto(cols, x.T)
+            quant, gather = None, (cols, x.T)
         else:
             q = arena.acquire((n, k_in))
+            quant, gather = (x, q), (cols, q.T)
+            arena.release(q)
+        acc = arena.acquire((out_features, n), np.float64)
+        part = arena.acquire((out_features, n))
+        arena.release(cols)
+        arena.release(part)
+        epi, om = epilogue_frame(acc)
+        out = arena.acquire((n, out_features), out_dtype)
+        scatter = (out, om.T)
+        arena.release(om)
+        return (quant, gather, cols, acc, part, epi, scatter), out
+
+    def run(bound: tuple) -> None:
+        quant, gather, cols, acc, part, epi, scatter = bound
+        if quant is not None:
+            x, q = quant
             np.divide(x, s_in, out=q)
             np.rint(q, out=q)
             q += zp_in
             np.clip(q, 0.0, 255.0, out=q)
-            np.copyto(cols, q.T)
-            arena.release(q)
-        acc = arena.acquire((out_features, n), np.float64)
-        part = arena.acquire((out_features, n))
+        np.copyto(*gather)
         chunked_int_gemm(w_mat, cols, acc, part)
-        arena.release(cols)
-        arena.release(part)
         acc -= zp_term
-        om = finish(acc)
-        out = arena.acquire((n, out_features), out_dtype)
-        np.copyto(out, om.T)
-        arena.release(om)
-        return out
+        epilogue(epi)
+        np.copyto(*scatter)
 
-    return run
+    return Kernel(run, frame)
 
 
-def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
+def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None) -> Kernel:
     """Bind a residual Add over uint8 inputs.
 
     With a quantized output the two operands are rescaled onto the
@@ -627,7 +682,6 @@ def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
     q_a, q_b = node.qconfig["input"], node.qconfig["input_b"]
     q_out = node.qconfig["output"]
     relu = node.relu
-    a_name, b_name = node.inputs
     za, zb = int(q_a.zero_point), int(q_b.zero_point)
 
     if q_out is not None:
@@ -637,8 +691,8 @@ def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
         zo = int(q_out.zero_point)
         lo = zo if relu else 0
 
-        def run(env: dict[str, np.ndarray]) -> np.ndarray:
-            a, b = env[a_name], env[b_name]
+        def run(bound: tuple) -> None:
+            a, b, out = bound
             ra = (a.astype(np.int64) - za) * m0a
             ra += 1 << (ta - 1)
             ra >>= ta
@@ -648,33 +702,31 @@ def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
             ra += rb
             ra += zo
             np.clip(ra, lo, 255, out=ra)
-            out = env[inplace_name] if inplace_name is not None else arena.acquire(
-                a.shape, np.uint8
-            )
             out[...] = ra
-            return out
 
-        return run
+        return Kernel(run, _add_frame(node, arena, inplace_name, np.uint8))
 
     sa, sb = float(q_a.scale), float(q_b.scale)
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        a, b = env[a_name], env[b_name]
+    def frame(a: np.ndarray, b: np.ndarray):
         out = arena.acquire(a.shape)
+        tmp = arena.acquire(b.shape)
+        arena.release(tmp)
+        return (a, b, out, tmp), out
+
+    def run(bound: tuple) -> None:
+        a, b, out, tmp = bound
         out[...] = a
         out -= za
         out *= sa
-        tmp = arena.acquire(b.shape)
         tmp[...] = b
         tmp -= zb
         tmp *= sb
         out += tmp
-        arena.release(tmp)
         if relu:
             np.maximum(out, 0.0, out=out)
-        return out
 
-    return run
+    return Kernel(run, frame)
 
 
 def _dequant_epilogue(out: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -684,85 +736,70 @@ def _dequant_epilogue(out: np.ndarray, scale: float, zero_point: int) -> np.ndar
     return out
 
 
-def _bind_qmax_pool(node: PlanNode, out_shape, arena: Arena):
+def _bind_qmax_pool(node: PlanNode, out_shape, arena: Arena) -> Kernel:
     """MaxPool over uint8 codes (max commutes with the affine map)."""
-    kernel = int(node.attrs["kernel"])
-    stride = int(node.attrs["stride"])
-    c, oh, ow = out_shape
     q_in = node.qconfig["input"]
     q_out = node.qconfig["output"]
-    in_name = node.inputs[0]
+    s, zp = float(q_in.scale), int(q_in.zero_point)
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        dtype = np.uint8 if q_out is not None else np.float32
-        out = arena.acquire((x.shape[0], c, oh, ow), dtype)
-        np.max(windows, axis=(-2, -1), out=out)
+    def run(bound: tuple) -> None:
+        win, out = bound
+        np.max(win, axis=(-2, -1), out=out)
         if q_out is None:
-            _dequant_epilogue(out, float(q_in.scale), int(q_in.zero_point))
-        return out
+            _dequant_epilogue(out, s, zp)
 
-    return run
+    dtype = np.uint8 if q_out is not None else np.float32
+    return Kernel(run, _pool_frame(node, out_shape, arena, dtype))
 
 
-def _bind_qrelu(node: PlanNode, arena: Arena, inplace: bool):
+def _bind_qrelu(node: PlanNode, arena: Arena, inplace: bool) -> Kernel:
     """Standalone ReLU on codes: a clamp at the input zero point."""
     q_in = node.qconfig["input"]
     q_out = node.qconfig["output"]
-    zp = int(q_in.zero_point)
-    in_name = node.inputs[0]
+    s, zp = float(q_in.scale), int(q_in.zero_point)
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        if q_out is not None:
-            out = x if inplace else arena.acquire(x.shape, np.uint8)
-            np.maximum(x, zp, out=out)
-            return out
-        out = arena.acquire(x.shape)
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.maximum(x, zp, out=out)
-        return _dequant_epilogue(out, float(q_in.scale), zp)
+        if q_out is None:
+            _dequant_epilogue(out, s, zp)
 
-    return run
+    if q_out is not None:
+        return Kernel(run, _inplace_frame(arena, inplace, np.uint8))
+    return Kernel(run, _inplace_frame(arena, False))
 
 
-def _bind_qflatten(node: PlanNode, out_shape, arena: Arena):
+def _bind_qflatten(node: PlanNode, out_shape, arena: Arena) -> Kernel:
     """Flatten on codes: a reshape copy (plus dequant when leaving u8)."""
-    flat = out_shape[0]
     q_in = node.qconfig["input"]
     q_out = node.qconfig["output"]
-    in_name = node.inputs[0]
+    s, zp = float(q_in.scale), int(q_in.zero_point)
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        dtype = np.uint8 if q_out is not None else np.float32
-        out = arena.acquire((x.shape[0], flat), dtype)
-        np.copyto(out, x.reshape(x.shape[0], flat))
+    def run(bound: tuple) -> None:
+        x, out = bound
+        np.copyto(out, x)
         if q_out is None:
-            _dequant_epilogue(out, float(q_in.scale), int(q_in.zero_point))
-        return out
+            _dequant_epilogue(out, s, zp)
 
-    return run
+    dtype = np.uint8 if q_out is not None else np.float32
+    return Kernel(run, _flatten_frame(out_shape, arena, dtype))
 
 
-def _bind_qgap(node: PlanNode, out_shape, arena: Arena):
+def _bind_qgap(node: PlanNode, out_shape, arena: Arena) -> Kernel:
     """GlobalAveragePool over codes, emitting float32.
 
     The code sum over a <= 24x24 tile is at most 576 * 255 < 2^24, so a
     float32 accumulation is exact; only the final divide rounds.
     """
-    channels = out_shape[0]
     q_in = node.qconfig["input"]
     s, zp = float(q_in.scale), int(q_in.zero_point)
-    in_name = node.inputs[0]
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        out = arena.acquire((x.shape[0], channels))
+    def run(bound: tuple) -> None:
+        x, out = bound
         np.mean(x, axis=(2, 3), dtype=np.float32, out=out)
-        return _dequant_epilogue(out, s, zp)
+        _dequant_epilogue(out, s, zp)
 
-    return run
+    return Kernel(run, _fresh_output_frame(arena, out_shape))
 
 
 #: Default integer variant per lead op type (when the quantization
@@ -821,7 +858,7 @@ def _bind_step(
     forms: dict[str, str],
     variants: dict[str, str],
 ) -> PlanStep:
-    """Resolve one fused node to a concrete closure + release schedule."""
+    """Resolve one fused node to a bound kernel + release schedule."""
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.output]
     kind = node.op_type
@@ -851,50 +888,51 @@ def _bind_step(
 
     if kind == "Conv":
         if variant == "conv.im2col.int8":
-            run = _bind_qconv(node, in_shape, out_shape, arena, in_form)
+            kernel = _bind_qconv(node, in_shape, out_shape, arena, in_form)
         elif variant == WINOGRAD_VARIANT:
-            run = bind_winograd_conv(node, in_shape, out_shape, arena)
+            kernel = bind_winograd_conv(node, in_shape, out_shape, arena)
         else:
-            run = _bind_conv(node, in_shape, out_shape, arena)
+            kernel = _bind_conv(node, in_shape, out_shape, arena)
     elif kind == "Gemm":
         if variant == "gemm.int8":
-            run = _bind_qgemm(node, in_shape, out_shape, arena, in_form)
+            kernel = _bind_qgemm(node, in_shape, out_shape, arena, in_form)
         else:
-            run = _bind_gemm(node, out_shape, arena)
+            kernel = _bind_gemm(node, out_shape, arena)
     elif kind == "BatchNormalization":
-        run = _bind_batch_norm(node, arena, inplace=claim_inplace() is not None)
+        kernel = _bind_batch_norm(node, arena, inplace=claim_inplace() is not None)
     elif kind == "Relu":
         if variant == "relu.u8":
-            run = _bind_qrelu(node, arena, inplace=claim_inplace() is not None)
+            kernel = _bind_qrelu(node, arena, inplace=claim_inplace() is not None)
         else:
-            run = _bind_relu(node, arena, inplace=claim_inplace() is not None)
+            kernel = _bind_relu(node, arena, inplace=claim_inplace() is not None)
     elif kind == "Add":
         if variant == "add.int8":
-            run = _bind_qadd(node, arena, inplace_name=claim_inplace())
+            kernel = _bind_qadd(node, arena, inplace_name=claim_inplace())
         else:
-            run = _bind_add(node, arena, inplace_name=claim_inplace())
+            kernel = _bind_add(node, arena, inplace_name=claim_inplace())
     elif kind == "MaxPool":
         if variant == "maxpool.u8":
-            run = _bind_qmax_pool(node, out_shape, arena)
+            kernel = _bind_qmax_pool(node, out_shape, arena)
         else:
-            run = _bind_max_pool(node, out_shape, arena)
+            kernel = _bind_max_pool(node, out_shape, arena)
     elif kind == "GlobalAveragePool":
         if variant == "gap.u8":
-            run = _bind_qgap(node, out_shape, arena)
+            kernel = _bind_qgap(node, out_shape, arena)
         else:
-            run = _bind_global_avg_pool(node, out_shape, arena)
+            kernel = _bind_global_avg_pool(node, out_shape, arena)
     elif kind == "Flatten":
         if variant == "flatten.u8":
-            run = _bind_qflatten(node, out_shape, arena)
+            kernel = _bind_qflatten(node, out_shape, arena)
         else:
-            run = _bind_flatten(node, out_shape, arena)
+            kernel = _bind_flatten(node, out_shape, arena)
     else:  # pragma: no cover - guarded by runtime op validation
         raise ValueError(f"cannot bind kernel for operator {kind!r}")
 
     return PlanStep(
         name=node.name,
         chain=node.chain,
-        run=run,
+        run=kernel.run,
+        frame=kernel.frame,
         inputs=tuple(node.inputs),
         output=node.output,
         variant=variant,
@@ -908,6 +946,20 @@ def _bind_step(
 # --------------------------------------------------------------------------
 
 
+@dataclass
+class _Frame:
+    """One batch size's bindings: every step's arrays, fixed at build time."""
+
+    input: np.ndarray
+    output: np.ndarray
+    #: ``steps[i].run(bound[i])`` executes step ``i``.
+    bound: list[tuple]
+    #: Per step, the ``repro_plan_step_seconds`` histogram.
+    timers: list
+    #: Per step, the buffers to NaN-fill after it runs (poison mode).
+    dead: list[list[np.ndarray]]
+
+
 class InferencePlan:
     """A compiled model: fused, pre-bound kernels over an arena.
 
@@ -915,8 +967,9 @@ class InferencePlan:
     :meth:`repro.deploy.runtime.OnnxliteRuntime.compile`); run with
     :meth:`run`.  The plan is specialized to the model's compile-time
     spatial input shape — only the batch dimension is dynamic.  The
-    arena persists across calls, so steady-state inference performs no
-    large allocations at all.
+    first run at each batch size builds that size's execution frame
+    (every buffer drawn from the arena and bound to its kernel); later
+    runs at that size allocate nothing and bind nothing.
     """
 
     def __init__(
@@ -942,9 +995,11 @@ class InferencePlan:
         self.fingerprint = fingerprint
         self._blueprint = blueprint
         self._naive_tensor_shapes = naive_tensor_shapes
-        # Re-entrancy guard: one arena per plan means run() must never be
-        # entered concurrently; the non-blocking lock turns such misuse
-        # into ConcurrentPlanError instead of silent corruption.
+        #: Execution frames by batch size, built on first use.
+        self._frames: dict[int, _Frame] = {}
+        # Re-entrancy guard: frames share one arena's buffers, so run()
+        # must never be entered concurrently; the non-blocking lock turns
+        # such misuse into ConcurrentPlanError instead of silent corruption.
         self._run_guard = threading.Lock()
         # Per-plan inference latency histogram (no-op while obs is
         # disabled; handle cached here so run() pays one flag check).
@@ -957,10 +1012,11 @@ class InferencePlan:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Run inference on a batch of the compiled input shape.
 
-        Not thread-safe: the plan owns one :class:`Arena`, so concurrent
-        calls on the *same* plan raise :class:`ConcurrentPlanError`.
-        For parallel serving, hand each worker its own
-        :meth:`replicate` (weights stay shared; arenas are private).
+        Not thread-safe: the plan's frames share one :class:`Arena`'s
+        buffers, so concurrent calls on the *same* plan raise
+        :class:`ConcurrentPlanError`.  For parallel serving, hand each
+        worker its own :meth:`replicate` (weights stay shared; arenas
+        are private).
         """
         started = time.perf_counter()
         x = np.asarray(x, dtype=np.float32)
@@ -977,21 +1033,61 @@ class InferencePlan:
                 f"repro.serve.PlanServer) to run batches in parallel"
             )
         try:
-            env: dict[str, np.ndarray] = {_INPUT: x}
-            arena = self.arena
-            for step in self.steps:
-                env[step.output] = step.run(env)
-                for name in step.release:
-                    arena.release(env.pop(name))
-                for name in step.drop:
-                    env.pop(name)
-            result = env.pop(self.final_output)
-            out = result.copy()
-            arena.release(result)
+            frame = self._frames.get(x.shape[0])
+            if frame is None:
+                frame = self._frames[x.shape[0]] = self._build_frame(x.shape[0])
+            np.copyto(frame.input, x)
+            if self.arena.poison or obs.enabled():
+                self._run_instrumented(frame)
+            else:
+                for step, bound in zip(self.steps, frame.bound):
+                    step.run(bound)
+            out = frame.output.copy()
         finally:
             self._run_guard.release()
         self._latency.observe(time.perf_counter() - started)
         return out
+
+    def _run_instrumented(self, frame: _Frame) -> None:
+        """The step loop with per-step timing and poison fills."""
+        clock = time.perf_counter
+        for step, bound, timer, dead in zip(self.steps, frame.bound, frame.timers, frame.dead):
+            started = clock()
+            step.run(bound)
+            timer.observe(clock() - started)
+            for base in dead:
+                base.fill(0xFF)
+
+    def _build_frame(self, n: int) -> _Frame:
+        """Walk the release schedule once, binding every step at batch ``n``."""
+        arena = self.arena
+        arena.take_freed()
+        views = {_INPUT: arena.acquire((n, *self.input_shape))}
+        bound: list[tuple] = []
+        dead: list[list[np.ndarray]] = []
+        for step in self.steps:
+            args, views[step.output] = step.frame(*(views[name] for name in step.inputs))
+            bound.append(args)
+            for name in step.release:
+                arena.release(views[name])
+            dead.append(arena.take_freed())
+        frame = _Frame(
+            input=views[_INPUT],
+            output=views[self.final_output],
+            bound=bound,
+            timers=[
+                obs.histogram("repro_plan_step_seconds", plan=self.name, step=step.name,
+                              op_type=step.chain[0], variant=step.variant)
+                for step in self.steps
+            ],
+            dead=dead,
+        )
+        # Nothing outlives a run, so every buffer returns to the pool for
+        # the other batch sizes' frames to share.
+        arena.release(frame.input)
+        arena.release(frame.output)
+        arena.take_freed()
+        return frame
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions (argmax of the logits)."""

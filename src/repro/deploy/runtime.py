@@ -129,10 +129,10 @@ class OnnxliteRuntime:
 
         The plan fuses Conv+BN+ReLU / Add+ReLU chains (the exact kernel
         grouping :mod:`repro.latency.fusion` predicts), binds each fused
-        kernel to a concrete closure, and executes over a static
-        release schedule with arena-pooled buffers.  Compile once, then
-        call ``plan.run(x)`` for repeated inference at the exported
-        spatial input size.
+        kernel, and executes through one execution frame per batch size
+        whose buffers follow a static release schedule over an arena.
+        Compile once, then call ``plan.run(x)`` for repeated inference
+        at the exported spatial input size.
 
         Parameters
         ----------

@@ -1,14 +1,13 @@
 """Batch-bucketed warm cache of plan replicas and pinned input buffers.
 
-Compiled plans pool their activation scratch in an :class:`~repro.deploy.Arena`,
-but the pool is shape-driven: alternating batch sizes through *one* plan
-keeps resizing the working set and re-allocating.  The cache fixes the
-shape set — every batch runs in a power-of-two **bucket** (partial
-batches padded up, results sliced back down), and each
-``(model fingerprint, bucket)`` pair owns warm plan replicas whose
-arenas only ever see that one batch shape.  After
-:meth:`PlanCache.warm`, steady-state serving touches zero new arena
-allocations.
+Compiled plans bind one execution frame per batch size, drawing its
+buffers from an :class:`~repro.deploy.Arena`; every distinct partial-batch
+size would cost a plan one more frame.  The cache fixes the shape set —
+every batch runs in a power-of-two **bucket** (partial batches padded
+up, results sliced back down), and each ``(model fingerprint, bucket)``
+pair owns warm plan replicas that only ever run that one batch shape.
+After :meth:`PlanCache.warm`, steady-state serving touches zero new
+arena allocations.
 
 The cache is a *checkout pool*, not a lookup table: :meth:`acquire`
 hands a replica out exclusively and :meth:`release` returns it, so
@@ -40,16 +39,21 @@ class CachedPlan:
     """One checked-out cache entry: a plan replica pinned to a bucket.
 
     ``input_buf`` is a persistent ``(bucket, C, H, W)`` staging buffer —
-    workers copy request images into its rows (unused padding rows stay
-    zero), run the plan on the whole buffer, and slice the first ``n``
-    result rows back out.  Keeping it with the entry means batch
-    assembly allocates nothing either.
+    workers copy request images into its rows, run the plan on the whole
+    buffer, and slice the first ``n`` result rows back out.  Rows past
+    ``n`` are padding and hold zeros: :meth:`run_padded` re-zeroes the
+    rows a larger earlier batch left behind (``filled`` counts them), so
+    no request's image lingers under a later batch.  Keeping the buffer
+    with the entry means batch assembly allocates nothing, and the
+    replica only ever runs its bucket's execution frame.
     """
 
     fingerprint: str
     bucket: int
     plan: InferencePlan
     input_buf: np.ndarray
+    #: Rows of ``input_buf`` that may hold request data (the rest are zero).
+    filled: int = 0
 
     def run_padded(self, images: "list[np.ndarray] | np.ndarray") -> np.ndarray:
         """Run ``n <= bucket`` images through the bucket-padded plan.
@@ -67,6 +71,9 @@ class CachedPlan:
             raise ValueError(f"got {n} images for bucket {self.bucket}")
         for i in range(n):
             self.input_buf[i] = images[i]
+        if self.filled > n:
+            self.input_buf[n:self.filled] = 0.0
+        self.filled = n
         out = self.plan.run(self.input_buf)
         return out[:n]
 
@@ -152,10 +159,11 @@ class PlanCache:
 
         For every bucket (default: all buckets :func:`plan_buckets`
         yields under ``max_batch_size``) creates ``replicas`` entries
-        and runs each once on its zeroed input buffer, which drives the
-        arena through a full forward pass and leaves every buffer the
-        steady state needs parked in the free pool.  Returns the number
-        of entries warmed.
+        and runs each once on its zeroed input buffer, which builds the
+        replica's execution frame for that bucket: every buffer the
+        steady state needs is allocated and bound to its kernel, so
+        serving runs allocate and bind nothing.  Returns the number of
+        entries warmed.
         """
         buckets = plan_buckets(self.max_batch_size) if buckets is None else buckets
         warmed = 0

@@ -253,6 +253,9 @@ class _WorkerHandle:
         self.conn, child_conn = mp_ctx.Pipe(duplex=True)
         self.ins, self.outs = _staging_views(self.staging, layout,
                                              input_shape, out_shape)
+        #: Per bucket, the staging rows that may hold request data (a
+        #: fresh segment is zero-filled; rows past a batch stay zero).
+        self.filled = dict.fromkeys(self.ins, 0)
         with _blas_env(blas_threads):
             self.proc = mp_ctx.Process(
                 target=_worker_main,
@@ -286,6 +289,9 @@ class _WorkerHandle:
         staged = self.ins[bucket]
         for i in range(n):
             staged[i] = images[i]
+        if self.filled[bucket] > n:  # clear rows an earlier, larger batch left
+            staged[n:self.filled[bucket]] = 0.0
+        self.filled[bucket] = n
         self.seq += 1
         try:
             self.conn.send(("run", bucket, n, self.seq))

@@ -94,7 +94,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = Non
         Square kernel size and uniform spatial stride.
     out:
         Optional preallocated workspace of exactly :func:`im2col_shape`.
-        Passing a reused buffer is the deploy compiler's workspace hook —
+        Passing a reused buffer is the training workspace pool's hook —
         Conv ops sharing a column shape share one allocation instead of
         materializing a fresh im2col matrix per call.
     """

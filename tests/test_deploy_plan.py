@@ -48,6 +48,46 @@ def _config(channels, kernel, stride, pool, feature):
                        stride_pool=2, initial_output_feature=feature)
 
 
+def _spy_acquire(plan) -> list:
+    """Record every ``plan.arena.acquire`` call from now on."""
+    calls: list = []
+    acquire = plan.arena.acquire
+
+    def spy(shape, dtype=np.float32):
+        calls.append((shape, dtype))
+        return acquire(shape, dtype)
+
+    plan.arena.acquire = spy
+    return calls
+
+
+def _variant_plans(size=24):
+    """fp32, Winograd-forced and calibrated-int8 plans of one model."""
+    from repro.deploy.winograd import WINOGRAD_VARIANT, winograd_eligible
+    from repro.quant.calibrate import calibrate_activations
+
+    model = _model()
+    proto = proto_from_bytes(export_model(model, input_hw=(size, size)))
+    weights = {t.name: t.dequantized() for t in proto.initializers}
+    nodes = toposort_nodes(fuse_operators(build_plan_nodes(proto, weights)))
+    winograd = {n.name: WINOGRAD_VARIANT for n in nodes
+                if n.op_type == "Conv" and winograd_eligible(n.attrs)}
+    assert winograd
+    qproto = proto_from_bytes(export_quantized_model(model, input_hw=(size, size)))
+    rng = np.random.default_rng(5)
+    calibrate_activations(qproto, rng.standard_normal((8, 5, size, size)).astype(np.float32))
+    return {
+        "fp32": compile_plan(proto),
+        "winograd": compile_plan(proto, variants=winograd),
+        "int8": compile_plan(qproto),
+    }
+
+
+@pytest.fixture(scope="module")
+def variant_plans():
+    return _variant_plans()
+
+
 class TestEquivalence:
     """compiled == interpreted == repro.nn on fuzzed search-space configs."""
 
@@ -195,6 +235,7 @@ class TestMemoryPlanning:
         assert outputs <= set(released_at)
 
     def test_arena_drains_after_each_run(self):
+        """After the first run at a batch size, runs touch no arena buffer."""
         plan = load_runtime(export_model(_model(), input_hw=(32, 32))).compile()
         x = np.zeros((2, 5, 32, 32), dtype=np.float32)
         plan.run(x)
@@ -202,10 +243,12 @@ class TestMemoryPlanning:
         assert plan.arena.current_bytes == 0
         stats = plan.memory_stats()
         assert stats["allocations"] > 0
+        calls = _spy_acquire(plan)
         plan.run(x)
-        # Steady state: the pool satisfies every request, no new buffers.
-        assert plan.memory_stats()["allocations"] == stats["allocations"]
-        assert plan.memory_stats()["reuses"] > stats["reuses"]
+        plan.run(x)
+        # Steady state: the frame is bound, so the arena is never asked.
+        assert calls == []
+        assert plan.memory_stats() == stats
 
     def test_poison_catches_a_premature_release(self):
         """Sabotage the schedule: poison mode must corrupt the output."""
@@ -217,8 +260,9 @@ class TestMemoryPlanning:
         assert np.isfinite(baseline).all()
 
         bad = runtime.compile(poison=True)
-        # Simulate a planner bug: return a tensor's buffer to the arena
-        # the moment it is produced, while later kernels still read it.
+        # Simulate a planner bug before the frame is built: release a
+        # tensor's buffer at the step that produces it, while later
+        # kernels still read it.
         victim = None
         for i, step in enumerate(bad.steps):
             if any(step.output in s.inputs for s in bad.steps[i + 1 :]):
@@ -229,16 +273,8 @@ class TestMemoryPlanning:
         for step in bad.steps:  # avoid a double-free masking the bug
             if name in step.release:
                 step.release.remove(name)
-        victim_step = bad.steps[i]
-        orig_run = victim_step.run
-
-        def sabotaged(env):
-            out = orig_run(env)
-            bad.arena.release(out)  # freed-while-live: poison fills it with NaN
-            return out
-
-        victim_step.run = sabotaged
-        corrupted = bad.run(x)
+        bad.steps[i].release.append(name)
+        corrupted = bad.run(x)  # builds the frame from the sabotaged schedule
         assert (not np.isfinite(corrupted).all()) or not np.allclose(
             corrupted, baseline, rtol=1e-3, atol=1e-4
         )
@@ -256,6 +292,103 @@ class TestMemoryPlanning:
         assert np.isnan(a).all()  # poisoned on release
         b = arena.acquire((3, 2))  # same size -> same base buffer
         assert arena.allocations == 1 and arena.reuses == 1
+
+
+class TestExecutionFrames:
+    """One frame per batch size, bound once, replayed bitwise-identically."""
+
+    @pytest.mark.parametrize("kind", ["fp32", "winograd", "int8"])
+    def test_batch_sizes_in_any_order_match_fresh_replicas(self, variant_plans, kind):
+        plan = variant_plans[kind].replicate()
+        if kind == "int8":
+            assert "conv.im2col.int8" in plan.kernel_variants().values()
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 8, 1, 2):
+            x = rng.standard_normal((n, 5, 24, 24)).astype(np.float32)
+            got = plan.run(x)
+            want = variant_plans[kind].replicate().run(x)
+            assert np.array_equal(got, want), f"{kind} n={n}"
+        assert sorted(plan._frames) == [1, 2, 3, 8]
+
+    @pytest.mark.parametrize("kind", ["fp32", "winograd", "int8"])
+    def test_second_run_at_same_batch_never_acquires(self, variant_plans, kind):
+        plan = variant_plans[kind].replicate()
+        x = np.random.default_rng(12).standard_normal((3, 5, 24, 24)).astype(np.float32)
+        calls = _spy_acquire(plan)
+        first = plan.run(x)
+        assert calls  # the first run builds the frame from the arena
+        calls.clear()
+        assert np.array_equal(plan.run(x), first)
+        assert calls == []
+
+    def test_poison_mode_matches_plain_mode(self, variant_plans):
+        x = np.random.default_rng(13).standard_normal((2, 5, 24, 24)).astype(np.float32)
+        for plan in variant_plans.values():
+            poisoned = plan.replicate(poison=True)
+            assert np.array_equal(poisoned.run(x), plan.replicate().run(x))
+            assert any(poisoned._frames[2].dead)
+
+
+class TestStepTiming:
+    """``repro_plan_step_seconds``: recorded in place, free when obs is off."""
+
+    @pytest.fixture
+    def clean_obs(self):
+        import repro.obs as obs
+
+        obs.shutdown(final_snapshot=False)
+        obs.registry().reset()
+        yield obs
+        obs.shutdown(final_snapshot=False)
+        obs.registry().reset()
+
+    def _step_histograms(self, obs, plan):
+        """This plan's step histograms, by step name."""
+        return {step.name: obs.histogram("repro_plan_step_seconds", plan=plan.name,
+                                         step=step.name, op_type=step.chain[0],
+                                         variant=step.variant)
+                for step in plan.steps}
+
+    def test_enabled_obs_times_every_step(self, clean_obs, variant_plans):
+        from repro.obs import InMemorySink
+
+        obs = clean_obs
+        plan = variant_plans["fp32"].replicate()
+        x = np.zeros((1, 5, 24, 24), dtype=np.float32)
+        obs.configure(sinks=[InMemorySink()])
+        for _ in range(3):
+            plan.run(x)
+        hists = self._step_histograms(obs, plan)
+        for step in plan.steps:
+            assert hists[step.name].count == 3 and hists[step.name].sum > 0
+
+    def test_disabled_obs_takes_the_plain_loop(self, clean_obs, variant_plans, monkeypatch):
+        import tracemalloc
+
+        obs = clean_obs
+        assert not obs.enabled()
+        plan = variant_plans["fp32"].replicate()
+        x = np.zeros((1, 5, 24, 24), dtype=np.float32)
+        plan.run(x)  # build the frame (declares the step histograms)
+
+        def instrumented(frame):
+            raise AssertionError("per-step timing ran with obs disabled")
+
+        monkeypatch.setattr(plan, "_run_instrumented", instrumented)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(20):
+                plan.run(x)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(
+            s.size_diff for s in after.compare_to(before, "filename")
+            if "repro/obs/" in (s.traceback[0].filename if s.traceback else "")
+        )
+        assert grown == 0, f"disabled obs allocated {grown} bytes in the plan loop"
+        assert all(h.count == 0 for h in self._step_histograms(obs, plan).values())
 
 
 class TestPlanValidation:

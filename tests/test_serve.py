@@ -331,6 +331,19 @@ class TestPlanCache:
             "steady-state serving must not allocate new arena buffers"
         assert cache.stats()["misses"] == len(plan_buckets(8))  # warmup only
 
+    def test_padding_rows_are_zeroed_after_a_larger_batch(self, plan):
+        cache = PlanCache(max_batch_size=4)
+        entry = cache.acquire(cache.register(plan), 4)
+        entry.run_padded(_images(4, seed=35))
+        x = _images(1, seed=36)
+        out = entry.run_padded(x)
+        assert not entry.input_buf[1:].any(), "rows 1-3 still hold earlier requests"
+        np.testing.assert_array_equal(entry.input_buf[0], x[0])
+        fresh = cache.acquire(entry.fingerprint, 4)  # never saw a larger batch
+        np.testing.assert_array_equal(out, fresh.run_padded(x))
+        cache.release(fresh)
+        cache.release(entry)
+
     def test_run_padded_validates_size(self, plan):
         cache = PlanCache(max_batch_size=4)
         fp = cache.register(plan)
@@ -565,6 +578,15 @@ class TestWorkerPool:
     def test_pool_validates_worker_count(self, plan):
         with pytest.raises(ValueError):
             WorkerPool(plan, workers=0, max_batch_size=4)
+
+    def test_staging_rows_past_a_batch_are_cleared(self, plan):
+        """A smaller batch must not run beside an earlier batch's images."""
+        with WorkerPool(plan, workers=1, max_batch_size=4, poison=True) as pool:
+            ref = pool.run_batch(_images(3, seed=34))
+            pool.run_batch(_images(4, seed=33))
+            np.testing.assert_array_equal(pool.run_batch(_images(3, seed=34)), ref)
+            staged = pool._all[0].ins[4]
+            assert not staged[3].any(), "row 3 still holds the previous batch's image"
 
 
 # --------------------------------------------------------------------------
